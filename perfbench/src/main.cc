@@ -3,13 +3,12 @@
 // attempted, failed and metrics.
 //
 //   rexbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//            [--launch-ns <ns>] [--trace-out <path>]
+//            [--trace-out <path>]
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "trace.h"
 #include "workloads.h"
 
 namespace {
@@ -17,8 +16,7 @@ namespace {
 int Usage(const char* why) {
   std::fprintf(stderr,
                "rexbench: %s\nusage: rexbench --workload <name> --seed <n> "
-               "--seconds <s> --trace <0|1> [--launch-ns <ns>] "
-               "[--trace-out <path>]\n",
+               "--seconds <s> --trace <0|1> [--trace-out <path>]\n",
                why);
   return 2;
 }
@@ -27,8 +25,6 @@ int Usage(const char* why) {
 
 int main(int argc, char** argv) {
   perfbench::RunOptions options;
-  options.main_ns = perfbench::NowNanos();
-  options.launch_ns = options.main_ns;
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string flag = argv[i];
     const char* value = argv[i + 1];
@@ -40,8 +36,6 @@ int main(int argc, char** argv) {
       options.seconds = std::strtod(value, nullptr);
     } else if (flag == "--trace") {
       options.trace = std::string(value) == "1";
-    } else if (flag == "--launch-ns") {
-      options.launch_ns = std::strtoll(value, nullptr, 10);
     } else if (flag == "--trace-out") {
       options.trace_out = value;
     } else {
@@ -51,7 +45,6 @@ int main(int argc, char** argv) {
   if (argc % 2 == 0) return Usage("every flag takes one value");
   if (options.workload.empty()) return Usage("--workload is required");
   if (!(options.seconds > 0)) return Usage("--seconds must be positive");
-  if (options.launch_ns > options.main_ns) options.launch_ns = options.main_ns;
 
   bool known = false;
   perfbench::Report report = perfbench::RunWorkload(options, &known);

@@ -93,6 +93,10 @@ uint64_t DeriveSeed(uint64_t seed, uint64_t tag) {
   return mix.Next();
 }
 
+/// Every workload's graph is fixed, so a run's work does not depend on
+/// --seed; the seed only picks the update streams.
+constexpr uint64_t kGraphSeed = 1;
+
 /// Seed of repetition `rep`'s update stream (distinct across runs and reps).
 uint64_t StreamSeed(uint64_t seed, uint64_t tag, int rep) {
   return DeriveSeed(DeriveSeed(seed, tag + 1), static_cast<uint64_t>(rep));
@@ -392,12 +396,8 @@ void DataLayers(bool pagerank, Cluster* cluster, const rex::PlanSpec& plan,
 
 enum class Algo { kPageRank, kSssp };
 
-struct Shape {
-  int64_t vertices = 0;
-  int64_t edges = 0;
-  int update_epochs = 0;
-  uint64_t tag = 0;
-};
+/// Phase boundaries of a repetition at which the host's speed is probed.
+enum Probe { kBeforeClean, kAfterClean, kAfterUpdates, kAfterCrash, kProbes };
 
 /// One repetition's measured values.
 struct RepTimes {
@@ -406,6 +406,9 @@ struct RepTimes {
   double crash_s = 0;
   double cpu_s = 0;
   std::vector<double> update_ms;
+  /// The workload's single-threaded reference time (ms per call) at each
+  /// probe point.
+  double ref_ms[kProbes] = {};
 };
 
 /// The workload interface driven by the run loop.
@@ -423,22 +426,28 @@ class Workload {
   /// One converge without output checks with the given config (traced-mode
   /// overhead estimates); returns seconds, or a negative value on failure.
   virtual double ConvergeOnce(bool profile_operators, SpanRecorder* rec) = 0;
-};
 
-struct Reference {
-  std::vector<double> ranks;
-  std::vector<int64_t> dist;
-};
+ protected:
+  /// One call of the workload's single-threaded reference on its base graph
+  /// (the benchmark's own code, so no change to the program moves it).
+  virtual void ReferenceOnce() = 0;
 
-Reference ComputeReference(Algo algo, const Adj& adj) {
-  Reference ref;
-  if (algo == Algo::kPageRank) {
-    ref.ranks = PowerIterationPageRank(adj, kDamping);
-  } else {
-    ref.dist = BfsDistances(adj, 0);
+  /// Median time of one ReferenceOnce over at least 8 calls and 40 ms. The
+  /// host's speed drifts by up to 1.7x over minutes; timing the reference
+  /// next to each engine phase lets the end-to-end metrics divide it out.
+  double ReferenceMs() {
+    std::vector<double> ms;
+    const int64_t start = NowNanos();
+    while (ms.size() < 8 || NowNanos() - start < 40000000) {
+      const int64_t t0 = NowNanos();
+      ReferenceOnce();
+      ms.push_back(Ms(NowNanos() - t0));
+    }
+    return Median(ms);
   }
-  return ref;
-}
+
+  volatile double sink_ = 0;  // keeps ReferenceOnce's result alive
+};
 
 /// Cluster + plan for one converge query.
 struct Engine {
@@ -474,45 +483,26 @@ rex::Result<Engine> SetUpEngine(Algo algo, const GraphData& g,
   return e;
 }
 
-/// The converged state of a run, as per-vertex vectors.
-struct State {
-  std::vector<double> ranks;
-  std::vector<int64_t> dist;
-};
-
-Status ExtractState(Algo algo, const QueryRunResult& run, int64_t n,
-                    State* out) {
-  if (algo == Algo::kPageRank) {
-    REX_ASSIGN_OR_RETURN(out->ranks,
-                         rex::RanksFromState(run.fixpoint_state, n));
-  } else {
-    REX_ASSIGN_OR_RETURN(out->dist,
-                         rex::DistancesFromState(run.fixpoint_state, n));
-  }
-  return Status::OK();
-}
-
-/// Checks a run started from zero (no base updates applied).
-std::string CheckFresh(Algo algo, const State& s, const Reference& ref,
-                       int strata) {
-  if (algo == Algo::kSssp) return CheckSssp(s.dist, ref.dist);
+/// Checks PageRank run from zero (no base updates applied).
+std::string CheckPageRankFresh(const std::vector<double>& ranks,
+                               const std::vector<double>& ref, int strata) {
   return CheckPageRankFromBelow(
-      s.ranks, ref.ranks,
-      PageRankDropBound(kDamping, kThreshold,
-                        static_cast<int64_t>(ref.ranks.size()), strata));
+      ranks, ref,
+      PageRankDropBound(kDamping, kThreshold, static_cast<int64_t>(ref.size()),
+                        strata));
 }
 
-/// Checks a state maintained through `mutations` signed edge mutations over
+/// Checks PageRank maintained through `mutations` signed edge mutations over
 /// `strata` strata in total. Besides each vertex's dropped sub-threshold
 /// diffs, a mutated source's seed retracts and re-asserts its whole rank,
 /// not only the part it had propagated; that mismatch is at most twice the
 /// source's own dropped diffs per mutation, hence N + 2 * mutations.
-std::string CheckMaintained(Algo algo, const State& s, const Reference& ref,
-                            int64_t strata, int64_t mutations) {
-  if (algo == Algo::kSssp) return CheckSssp(s.dist, ref.dist);
-  const int64_t n = static_cast<int64_t>(ref.ranks.size());
+std::string CheckPageRankMaintained(const std::vector<double>& ranks,
+                                    const std::vector<double>& ref,
+                                    int64_t strata, int64_t mutations) {
+  const int64_t n = static_cast<int64_t>(ref.size());
   return CheckPageRankWithin(
-      s.ranks, ref.ranks,
+      ranks, ref,
       PageRankDropBound(kDamping, kThreshold, n + 2 * mutations, strata));
 }
 
@@ -521,25 +511,28 @@ std::string CheckMaintained(Algo algo, const State& s, const Reference& ref,
 /// mid-run and recovered incrementally.
 class SsspWorkload : public Workload {
  public:
-  SsspWorkload(const Shape& shape, uint64_t seed)
-      : shape_(shape), seed_(seed) {
-    graph_ = GenerateRmat(shape.vertices, shape.edges,
-                          DeriveSeed(seed, shape.tag));
+  static constexpr int64_t kVertices = 33000;
+  static constexpr int64_t kEdges = 480000;  // R-MAT edges, before wrap edges
+  static constexpr int kUpdateEpochs = 16;
+  static constexpr uint64_t kTag = 0x5353;
+
+  explicit SsspWorkload(uint64_t seed) : seed_(seed) {
+    graph_ = GenerateRmat(kVertices, kEdges, DeriveSeed(kGraphSeed, kTag));
     adj_ = OutAdjacency(graph_);
-    ref_ = ComputeReference(kAlgo, adj_);
+    ref_ = BfsDistances(adj_, 0);
   }
 
-  int OpsPerRep() const override { return 2 + shape_.update_epochs; }
+  int OpsPerRep() const override { return 2 + kUpdateEpochs; }
 
   bool RunRep(int rep, SpanRecorder* rec, Layers* layers, Report* report,
               RepTimes* t) override {
     const int64_t n = graph_.num_vertices;
-    const auto stream = GenerateMutationStream(
-        graph_, shape_.update_epochs, kBatchSize, kBatchDeletes,
-        StreamSeed(seed_, shape_.tag, rep));
+    const auto stream =
+        GenerateMutationStream(graph_, kUpdateEpochs, kBatchSize,
+                               kBatchDeletes, StreamSeed(seed_, kTag, rep));
     Adj after = adj_;
     for (const auto& batch : stream) ApplyBatch(&after, batch);
-    const Reference ref_after = ComputeReference(kAlgo, after);
+    const std::vector<int64_t> ref_after = BfsDistances(after, 0);
     int ops_done = 0;
     auto fail = [&](const std::string& what, const Status& st) {
       std::fprintf(stderr, "operation failed: %s: %s\n", what.c_str(),
@@ -549,12 +542,13 @@ class SsspWorkload : public Workload {
       return false;
     };
     const int64_t setup0 = NowNanos();
-    auto engine = SetUpEngine(kAlgo, graph_, BenchConfig(true), rec);
+    auto engine = SetUpEngine(Algo::kSssp, graph_, BenchConfig(true), rec);
     t->setup_s = Sec(NowNanos() - setup0);
     if (!engine.ok()) return fail("setup", engine.status());
     Cluster* cluster = engine->cluster.get();
 
     // Clean query to fixpoint.
+    t->ref_ms[kBeforeClean] = ReferenceMs();
     const int64_t msgs0 =
         cluster->network()->metrics().Value(rex::metrics::kMessagesSent);
     const int64_t bp0 =
@@ -569,10 +563,10 @@ class SsspWorkload : public Workload {
     t->cpu_s += CpuSeconds() - cpu0;
     if (!run.ok()) return fail("converge", run.status());
     ++ops_done;
-    State state;
-    Status st = ExtractState(kAlgo, *run, n, &state);
-    if (!st.ok()) return fail("converge result", st);
-    report->Check(CheckFresh(kAlgo, state, ref_, run->strata_executed));
+    rex::Result<std::vector<int64_t>> dist =
+        rex::DistancesFromState(run->fixpoint_state, n);
+    if (!dist.ok()) return fail("converge result", dist.status());
+    report->Check(CheckSssp(*dist, ref_));
     if (crash_before_ < 0) crash_before_ = CrashStratum(*run);
     if (layers != nullptr) {
       const rex::MetricsRegistry& net = cluster->network()->metrics();
@@ -582,18 +576,18 @@ class SsspWorkload : public Workload {
       DataLayers(false, cluster, engine->plan, adj_, run->strata_executed,
                  layers);
     }
+    t->ref_ms[kAfterClean] = ReferenceMs();
 
     // Incremental base updates on the converged query.
     rex::Adjacency mirror = rex::AdjacencyFromGraph(graph_);
-    int64_t strata_total = run->strata_executed;
     std::vector<double> build_ms, query_ms, overhead_ms, strata_n, tuples_n;
     for (const auto& batch : stream) {
       cpu0 = CpuSeconds();
       t0 = NowNanos();
       rex::Result<Cluster::BaseUpdate> update = [&] {
         Scoped s(rec, "ivm.build");
-        return rex::BuildSsspBaseUpdate(engine->plan, batch, state.dist,
-                                        mirror, 0);
+        return rex::BuildSsspBaseUpdate(engine->plan, batch, *dist, mirror,
+                                        0);
       }();
       const int64_t built = NowNanos();
       if (!update.ok()) return fail("ivm build", update.status());
@@ -602,23 +596,21 @@ class SsspWorkload : public Workload {
         return cluster->ApplyBaseUpdate(*update);
       }();
       if (!applied.ok()) return fail("base update", applied.status());
-      st = ExtractState(kAlgo, *applied, n, &state);
-      if (!st.ok()) return fail("base update result", st);
+      dist = rex::DistancesFromState(applied->fixpoint_state, n);
+      if (!dist.ok()) return fail("base update result", dist.status());
       const int64_t done = NowNanos();
       t->update_ms.push_back(Ms(done - t0));
       t->cpu_s += CpuSeconds() - cpu0;
       ++ops_done;
       rex::ApplyEdgeMutations(&mirror, batch);
-      strata_total += applied->strata_executed;
       build_ms.push_back(Ms(built - t0));
       query_ms.push_back(applied->profile.total_seconds * 1e3);
       overhead_ms.push_back(Ms(done - t0) - build_ms.back() - query_ms.back());
       strata_n.push_back(applied->strata_executed);
       tuples_n.push_back(static_cast<double>(applied->profile.tuples_sent));
     }
-    report->Check(CheckMaintained(
-        kAlgo, state, ref_after, strata_total,
-        static_cast<int64_t>(stream.size()) * kBatchSize));
+    report->Check(CheckSssp(*dist, ref_after));
+    t->ref_ms[kAfterUpdates] = ReferenceMs();
     if (layers != nullptr) {
       (*layers)["ivm.build_ms"] = Median(build_ms);
       (*layers)["ivm.strata_per_epoch"] = Median(strata_n);
@@ -629,7 +621,7 @@ class SsspWorkload : public Workload {
     engine->cluster.reset();
 
     // The same query with a worker crashed mid-run.
-    auto crashed = SetUpEngine(kAlgo, graph_, BenchConfig(true), rec);
+    auto crashed = SetUpEngine(Algo::kSssp, graph_, BenchConfig(true), rec);
     if (!crashed.ok()) return fail("crash setup", crashed.status());
     rex::QueryOptions options;
     options.failure.worker = kCrashWorker;
@@ -645,10 +637,11 @@ class SsspWorkload : public Workload {
     t->cpu_s += CpuSeconds() - cpu0;
     if (!crash_run.ok()) return fail("crashed converge", crash_run.status());
     ++ops_done;
-    st = ExtractState(kAlgo, *crash_run, n, &state);
-    if (!st.ok()) return fail("crashed result", st);
+    dist = rex::DistancesFromState(crash_run->fixpoint_state, n);
+    if (!dist.ok()) return fail("crashed result", dist.status());
+    t->ref_ms[kAfterCrash] = ReferenceMs();
     report->Check(CheckRecovered(crash_run->recoveries));
-    report->Check(CheckFresh(kAlgo, state, ref_, crash_run->strata_executed));
+    report->Check(CheckSssp(*dist, ref_));
     if (layers != nullptr) {
       double pass_ms = 0;
       for (const auto& pass : crash_run->profile.recovery_passes) {
@@ -665,8 +658,8 @@ class SsspWorkload : public Workload {
   }
 
   double ConvergeOnce(bool profile_operators, SpanRecorder* rec) override {
-    auto engine = SetUpEngine(kAlgo, graph_, BenchConfig(profile_operators),
-                              rec);
+    auto engine =
+        SetUpEngine(Algo::kSssp, graph_, BenchConfig(profile_operators), rec);
     if (!engine.ok()) return -1;
     const int64_t t0 = NowNanos();
     rex::Result<QueryRunResult> run = [&] {
@@ -677,7 +670,9 @@ class SsspWorkload : public Workload {
   }
 
  private:
-  static constexpr Algo kAlgo = Algo::kSssp;
+  void ReferenceOnce() override {
+    sink_ = sink_ + static_cast<double>(BfsDistances(adj_, 0).back());
+  }
 
   /// Worker 1 dies before the stratum with the largest frontier.
   static int CrashStratum(const QueryRunResult& run) {
@@ -692,11 +687,10 @@ class SsspWorkload : public Workload {
     return std::max(1, at);
   }
 
-  Shape shape_;
   GraphData graph_;
   Adj adj_;
   uint64_t seed_;
-  Reference ref_;
+  std::vector<int64_t> ref_;
   int crash_before_ = -1;
 };
 
@@ -705,13 +699,14 @@ class SsspWorkload : public Workload {
 /// drains both subscriber cursors after every epoch.
 class StreamWorkload : public Workload {
  public:
+  static constexpr int64_t kVertices = 825;
+  static constexpr int64_t kEdges = 12000;  // R-MAT edges, before wrap edges
   static constexpr int kEpochs = 30;
   static constexpr int kCheckEvery = 10;
+  static constexpr uint64_t kTag = 0x5553;
 
-  StreamWorkload(const Shape& shape, uint64_t seed)
-      : shape_(shape), seed_(seed) {
-    graph_ = GenerateRmat(shape.vertices, shape.edges,
-                          DeriveSeed(seed, shape.tag));
+  explicit StreamWorkload(uint64_t seed) : seed_(seed) {
+    graph_ = GenerateRmat(kVertices, kEdges, DeriveSeed(kGraphSeed, kTag));
     adj_ = OutAdjacency(graph_);
   }
 
@@ -720,9 +715,8 @@ class StreamWorkload : public Workload {
   bool RunRep(int rep, SpanRecorder* rec, Layers* layers, Report* report,
               RepTimes* t) override {
     const int64_t n = graph_.num_vertices;
-    stream_ = GenerateMutationStream(
-        graph_, kEpochs, kBatchSize, kBatchDeletes,
-        StreamSeed(seed_, shape_.tag, rep));
+    stream_ = GenerateMutationStream(graph_, kEpochs, kBatchSize,
+                                     kBatchDeletes, StreamSeed(seed_, kTag, rep));
     refs_.clear();
     Adj mirror = adj_;
     refs_[0] = {PowerIterationPageRank(mirror, kDamping),
@@ -749,6 +743,7 @@ class StreamWorkload : public Workload {
     if (!serving.ok()) return fail("setup", serving.status());
     rex::ServingSession* session = serving->session.get();
 
+    t->ref_ms[kBeforeClean] = ReferenceMs();
     double cpu0 = CpuSeconds();
     int64_t t0 = NowNanos();
     rex::Result<int> pr_id = -1;
@@ -783,6 +778,7 @@ class StreamWorkload : public Workload {
     };
     drain(*pr_sub, &pr_batches);
     drain(*sp_sub, &sp_batches);
+    t->ref_ms[kAfterClean] = ReferenceMs();
 
     std::vector<double> build_ms, query_ms, overhead_ms, poll_ms, strata_n,
         tuples_n, rows_n;
@@ -831,6 +827,7 @@ class StreamWorkload : public Workload {
     if (!sp_now.ok()) return fail("current result", sp_now.status());
     report->Check(CheckSubscriberFold(pr_batches, *pr_now));
     report->Check(CheckSubscriberFold(sp_batches, *sp_now));
+    t->ref_ms[kAfterUpdates] = ReferenceMs();
     if (layers != nullptr) {
       (*layers)["ivm.build_ms"] = Median(build_ms);
       (*layers)["ivm.strata_per_epoch"] = Median(strata_n);
@@ -866,19 +863,17 @@ class StreamWorkload : public Workload {
     ++ops_done;
     if (!sp_id.ok()) return fail("crashed register sssp", sp_id.status());
     ++ops_done;
+    t->ref_ms[kAfterCrash] = ReferenceMs();
     const rex::QueryProfile& pr_profile = session->epoch_profiles().front();
     report->Check(CheckRecovered(pr_profile.recoveries));
     auto pr_rows = session->CurrentResult(*pr_id);
     auto sp_rows = session->CurrentResult(*sp_id);
     if (!pr_rows.ok()) return fail("current result", pr_rows.status());
     if (!sp_rows.ok()) return fail("current result", sp_rows.status());
-    State s;
-    s.ranks = RanksFromRows(*pr_rows, n);
-    s.dist = DistancesFromRows(*sp_rows, n);
     const Reference& ref0 = refs_.at(0);
-    report->Check(CheckFresh(Algo::kPageRank, s, ref0,
-                             pr_profile.strata_executed));
-    report->Check(CheckFresh(Algo::kSssp, s, ref0, 0));
+    report->Check(CheckPageRankFresh(RanksFromRows(*pr_rows, n), ref0.ranks,
+                                     pr_profile.strata_executed));
+    report->Check(CheckSssp(DistancesFromRows(*sp_rows, n), ref0.dist));
     if (layers != nullptr) {
       double pass_ms = 0;
       for (const auto& pass : pr_profile.recovery_passes) {
@@ -908,6 +903,10 @@ class StreamWorkload : public Workload {
   }
 
  private:
+  void ReferenceOnce() override {
+    sink_ = sink_ + PowerIterationPageRank(adj_, kDamping).back();
+  }
+
   struct Serving {
     std::unique_ptr<Cluster> cluster;
     std::unique_ptr<rex::ServingSession> session;  // destroyed first
@@ -968,13 +967,12 @@ class StreamWorkload : public Workload {
     for (const auto& p : session.epoch_profiles()) {
       if (p.name.rfind("pagerank", 0) == 0) strata += p.strata_executed;
     }
-    State s;
-    s.ranks = RanksFromRows(*pr_rows, n);
-    s.dist = DistancesFromRows(*sp_rows, n);
     const Reference& ref = refs_.at(epoch);
     const int64_t mutations = int64_t{epoch} * kBatchSize;
-    for (Algo algo : {Algo::kPageRank, Algo::kSssp}) {
-      std::string err = CheckMaintained(algo, s, ref, strata, mutations);
+    for (std::string err :
+         {CheckPageRankMaintained(RanksFromRows(*pr_rows, n), ref.ranks,
+                                  strata, mutations),
+          CheckSssp(DistancesFromRows(*sp_rows, n), ref.dist)}) {
       if (!err.empty()) err = "epoch " + std::to_string(epoch) + ": " + err;
       report->Check(err);
     }
@@ -1000,7 +998,12 @@ class StreamWorkload : public Workload {
     DataLayers(true, cluster, engine->plan, adj_, run->strata_executed, layers);
   }
 
-  Shape shape_;
+  /// References of one state of the stream's graph.
+  struct Reference {
+    std::vector<double> ranks;
+    std::vector<int64_t> dist;
+  };
+
   GraphData graph_;
   Adj adj_;
   uint64_t seed_;
@@ -1010,24 +1013,19 @@ class StreamWorkload : public Workload {
   int crash_before_ = -1;
 };
 
-// Workload shapes: vertices, R-MAT edges (before wrap-around edges),
-// incremental update epochs per repetition, seed tag.
-constexpr Shape kSsspShape{33000, 480000, 16, 0x5353};
-constexpr Shape kStreamShape{825, 12000, StreamWorkload::kEpochs, 0x5553};
-
 std::unique_ptr<Workload> MakeWorkload(const std::string& name, uint64_t seed) {
   if (name == "sssp_converge") {
-    return std::make_unique<SsspWorkload>(kSsspShape, seed);
+    return std::make_unique<SsspWorkload>(seed);
   }
   if (name == "update_stream") {
-    return std::make_unique<StreamWorkload>(kStreamShape, seed);
+    return std::make_unique<StreamWorkload>(seed);
   }
   return nullptr;
 }
 
-/// End-to-end mode: the first repetition is warm-up (its set-up, timed
-/// from process launch, is the cold set-up), then whole repetitions run
-/// until the next one would overrun the budget.
+/// End-to-end mode: the first repetition is warm-up (its set-up, the first
+/// in the process, is the cold set-up), then whole repetitions run until
+/// the next one would overrun the budget.
 Report RunEndToEnd(Workload* w, const RunOptions& options) {
   Report report;
   SpanRecorder off(false);
@@ -1041,13 +1039,14 @@ Report RunEndToEnd(Workload* w, const RunOptions& options) {
     const bool ok = w->RunRep(i, &off, nullptr, &report, &t);
     std::fprintf(stderr,
                  "rep %d%s: converge %.4f s, crash %.4f s, cpu %.3f s, "
-                 "update p50 %.2f ms over %zu epochs\n",
+                 "update p50 %.2f ms over %zu epochs, reference %.3f ms\n",
                  i, i == 0 ? " (warm-up)" : "", t.converge_s, t.crash_s,
-                 t.cpu_s, Percentile(t.update_ms, 0.5), t.update_ms.size());
+                 t.cpu_s, Percentile(t.update_ms, 0.5), t.update_ms.size(),
+                 t.ref_ms[kBeforeClean]);
     if (i == 0) {
-      // Process launch up to main(), plus the first cluster set-up; input
-      // generation (the benchmark's own work) is left out.
-      setup_s = Sec(options.main_ns - options.launch_ns) + t.setup_s;
+      // The process's first cluster set-up; input generation (the
+      // benchmark's own work) is left out.
+      setup_s = t.setup_s;
       // Peak memory of exactly one repetition: later repetitions only add
       // allocator fragmentation, and how many fit depends on speed.
       peak_rss_mb = PeakRssMb();
@@ -1058,23 +1057,42 @@ Report RunEndToEnd(Workload* w, const RunOptions& options) {
     const int64_t rep_ns = now - rep0;
     if (i >= 1 && now + rep_ns - start > budget) break;
   }
+  // Each phase is divided by the reference time probed at its two ends;
+  // CPU time, spent over the whole repetition, by the mean of all probes.
   std::vector<double> converge, crash, cpu, updates;
+  std::vector<double> converge_s, crash_s, cpu_s, update_ms, ref_ms;
   for (const RepTimes& t : reps) {
-    converge.push_back(t.converge_s);
-    crash.push_back(t.crash_s);
-    cpu.push_back(t.cpu_s);
-    updates.insert(updates.end(), t.update_ms.begin(), t.update_ms.end());
+    const double* r = t.ref_ms;
+    const double clean_ref = (r[kBeforeClean] + r[kAfterClean]) / 2;
+    const double update_ref = (r[kAfterClean] + r[kAfterUpdates]) / 2;
+    const double crash_ref = (r[kAfterUpdates] + r[kAfterCrash]) / 2;
+    const double rep_ref = (r[kBeforeClean] + r[kAfterClean] +
+                            r[kAfterUpdates] + r[kAfterCrash]) /
+                           static_cast<double>(kProbes);
+    converge.push_back(t.converge_s * 1e3 / clean_ref);
+    crash.push_back(t.crash_s * 1e3 / crash_ref);
+    cpu.push_back(t.cpu_s * 1e3 / rep_ref);
+    for (double ms : t.update_ms) updates.push_back(ms / update_ref);
+    converge_s.push_back(t.converge_s);
+    crash_s.push_back(t.crash_s);
+    cpu_s.push_back(t.cpu_s);
+    update_ms.insert(update_ms.end(), t.update_ms.begin(), t.update_ms.end());
+    ref_ms.push_back(rep_ref);
   }
   report.Metric("setup_s", setup_s, "s");
-  report.Metric("converge_s", Median(converge), "s");
-  report.Metric("crash_converge_s", Median(crash), "s");
-  report.Metric("cpu_s", Median(cpu), "s");
+  report.Metric("converge_vs_ref", Median(converge), "x");
+  report.Metric("crash_converge_vs_ref", Median(crash), "x");
+  report.Metric("cpu_vs_ref", Median(cpu), "x");
+  report.Metric("update_p50_vs_ref", Percentile(updates, 0.5), "x");
+  report.Metric("update_p90_vs_ref", Percentile(updates, 0.9), "x");
   report.Metric("peak_rss_mb", peak_rss_mb, "MB");
-  report.Metric("update_p50_ms", Percentile(updates, 0.5), "ms");
-  report.Metric("update_p90_ms", Percentile(updates, 0.9), "ms");
   std::fprintf(stderr,
-               "measured %zu repetitions (%zu update samples) after warm-up\n",
-               reps.size(), updates.size());
+               "measured %zu repetitions (%zu update samples) after warm-up\n"
+               "raw medians: converge %.4f s, crash %.4f s, cpu %.3f s, "
+               "update p50 %.2f ms, p90 %.2f ms, reference %.3f ms\n",
+               reps.size(), updates.size(), Median(converge_s),
+               Median(crash_s), Median(cpu_s), Percentile(update_ms, 0.5),
+               Percentile(update_ms, 0.9), Median(ref_ms));
   return report;
 }
 

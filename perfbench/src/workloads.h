@@ -17,11 +17,6 @@ struct RunOptions {
   uint64_t seed = 1;
   double seconds = 10;
   bool trace = false;
-  /// Steady-clock (CLOCK_MONOTONIC) nanoseconds at which main() was
-  /// entered, and at which the launcher started this process (equal to
-  /// main_ns when the binary is run directly).
-  int64_t main_ns = 0;
-  int64_t launch_ns = 0;
   /// Where traced mode writes its spans (empty = nowhere).
   std::string trace_out;
 };

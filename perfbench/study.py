@@ -3,7 +3,8 @@
 
 Runs every workload of BENCHMARK.json many times in separate processes,
 interleaved between workloads (round r runs each workload once, with seed
-base + r), and reports for each end-to-end metric:
+1000 + r, for BENCHMARK.json's run_seconds), and reports for each end-to-end
+metric, and for the raw times the binary prints on standard error:
 
   - the spread of all runs: (Q3 - Q1) / median, as Python's
     statistics.quantiles(values, n=4) gives the quartiles;
@@ -17,7 +18,7 @@ README in this directory records them.
 
 Run from the root of a checkout:
 
-    python3 perfbench/study.py --rounds 36        # about an hour
+    python3 perfbench/study.py --rounds 30        # about an hour
     python3 perfbench/study.py --analyze .bench_build/perfbench/study.jsonl
 
 Results are appended to .bench_build/perfbench/study.jsonl as they come,
@@ -27,6 +28,7 @@ one JSON object per run, so an interrupted study can still be analysed.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -35,6 +37,13 @@ import time
 ROOT = os.getcwd()
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_OUT = os.path.join(ROOT, ".bench_build", "perfbench", "study.jsonl")
+SEED_BASE = 1000
+# The binary's raw medians on standard error, kept beside the metrics to
+# show how far the host moves them.
+RAW = re.compile(r"raw medians: converge (\S+) s, crash (\S+) s, cpu (\S+) s, "
+                 r"update p50 (\S+) ms, p90 (\S+) ms, reference (\S+) ms")
+RAW_NAMES = ("raw.converge_s", "raw.crash_converge_s", "raw.cpu_s",
+             "raw.update_p50_ms", "raw.update_p90_ms", "raw.reference_ms")
 
 
 def load_benchmark():
@@ -57,6 +66,9 @@ def run_once(workload, seed, seconds):
         sys.exit("study: %s seed %d exited with %d"
                  % (workload, seed, proc.returncode))
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    raw = RAW.search(proc.stderr)
+    if raw:
+        result["raw"] = dict(zip(RAW_NAMES, map(float, raw.groups())))
     result.update(workload=workload, seed=seed, started=start,
                   wall_s=time.time() - start)
     return result
@@ -90,9 +102,13 @@ def analyze(path, bench, set_size=10):
         if bad:
             print("%s: %d run(s) incorrect or with failed operations"
                   % (w, len(bad)))
-        for name in better:
-            values = [r["metrics"][name]["value"] for r in mine]
-            low = better[name] == "lower"
+        names = list(better)
+        if all("raw" in r for r in mine):
+            names += RAW_NAMES
+        for name in names:
+            values = [r["metrics"][name]["value"] if name in better
+                      else r["raw"][name] for r in mine]
+            low = better.get(name, "lower") == "lower"
             sets = [values[i:i + set_size]
                     for i in range(0, len(values) - set_size + 1, set_size)]
             set_spread = max((spread(x) for x in sets), default=float("nan"))
@@ -102,15 +118,12 @@ def analyze(path, bench, set_size=10):
             print("%-18s %-16s %4d %10.4g %7.3f %9.3f %9.3f %6.2f" % (
                 w, name, len(values), statistics.median(values),
                 spread(values), set_spread, set_disagreement,
-                bounds[name]))
+                bounds.get(name, float("nan"))))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--rounds", type=int, default=36)
-    parser.add_argument("--seed-base", type=int, default=1000)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="run length (default: BENCHMARK.json)")
+    parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--out", default=DEFAULT_OUT)
     parser.add_argument("--analyze", metavar="JSONL",
                         help="only analyse an earlier study's results")
@@ -121,13 +134,13 @@ def main():
         return
     if not os.path.isfile(os.path.join(HERE, "..", "src", "CMakeLists.txt")):
         sys.exit("study: no REX source tree (src/) next to perfbench/")
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     workloads = [w["name"] for w in bench["workloads"]]
     with open(args.out, "a") as out:
         for r in range(args.rounds):
             for w in workloads:
-                result = run_once(w, args.seed_base + r, seconds)
+                result = run_once(w, SEED_BASE + r, seconds)
                 out.write(json.dumps(result) + "\n")
                 out.flush()
                 print("round %d %s: %s" % (r, w, {
